@@ -1,10 +1,14 @@
 //! The extraction trait and shared offer-construction helpers.
 
 use crate::{ExtractionConfig, ExtractionError, ExtractionInput, ExtractionOutput};
+use flextract_appliance::Catalog;
+use flextract_disagg::{detect_activations, DetectedActivation, MatchConfig};
 use flextract_flexoffer::{EnergyRange, FlexOffer};
+use flextract_series::TimeSeries;
 use flextract_time::{Duration, Timestamp};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// A flexibility-extraction approach (one branch of the paper's
 /// Figure-3 taxonomy).
@@ -24,6 +28,23 @@ pub trait FlexibilityExtractor: Send + Sync {
         input: &ExtractionInput<'_>,
         rng: &mut StdRng,
     ) -> Result<ExtractionOutput, ExtractionError>;
+}
+
+/// Step 1 of the appliance-level approaches: the shiftable appliance
+/// cycles in `fine`. Detections attached to `input` are used as they are
+/// when `match_cfg` is the default they were made with (the
+/// [`ExtractionInput::with_detections`] contract); otherwise detection
+/// runs here.
+pub(crate) fn shiftable_detections<'a>(
+    input: &ExtractionInput<'a>,
+    fine: &TimeSeries,
+    catalog: &Catalog,
+    match_cfg: &MatchConfig,
+) -> Cow<'a, [DetectedActivation]> {
+    match input.detections {
+        Some(detections) if *match_cfg == MatchConfig::default() => Cow::Borrowed(detections),
+        _ => Cow::Owned(detect_activations(fine, &catalog.shiftable(), match_cfg).0),
+    }
 }
 
 /// Sample a duration uniformly from an inclusive range, rounded **down**

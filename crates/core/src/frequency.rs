@@ -11,9 +11,9 @@
 //! yields a profile bracketed by the washer's own min/max energy — the
 //! reason the paper calls appliance-level offers "very realistic".
 
-use crate::extractor::{extract_cycle, FlexibilityExtractor};
+use crate::extractor::{extract_cycle, shiftable_detections, FlexibilityExtractor};
 use crate::{Diagnostics, ExtractionConfig, ExtractionError, ExtractionInput, ExtractionOutput};
-use flextract_disagg::{detect_activations, FrequencyTable, MatchConfig};
+use flextract_disagg::{FrequencyTable, MatchConfig};
 use flextract_flexoffer::{EnergyRange, FlexOffer};
 use flextract_series::TimeSeries;
 use flextract_time::Duration;
@@ -66,8 +66,7 @@ impl FlexibilityExtractor for FrequencyBasedExtractor {
         let fine = input.fine_series.unwrap_or(series);
 
         // ---- Step 1: appliance detection + frequency table.
-        let shiftable = catalog.shiftable();
-        let (detections, _fine_residual) = detect_activations(fine, &shiftable, &self.match_cfg);
+        let detections = shiftable_detections(input, fine, catalog, &self.match_cfg);
         let observed_days = (fine.range().duration().as_minutes() as f64 / 1440.0).max(1.0 / 96.0);
         let table = FrequencyTable::mine(&detections, observed_days, catalog);
 
@@ -86,7 +85,7 @@ impl FlexibilityExtractor for FrequencyBasedExtractor {
         let mut next_id = 1u64;
         let slice_min = self.cfg.slice_resolution.minutes();
 
-        for det in &detections {
+        for det in detections.iter() {
             let Some(spec) = catalog.find_by_name(&det.appliance) else {
                 continue;
             };

@@ -1,6 +1,7 @@
 //! Extraction inputs, outputs and diagnostics.
 
 use flextract_appliance::Catalog;
+use flextract_disagg::DetectedActivation;
 use flextract_flexoffer::FlexOffer;
 use flextract_series::TimeSeries;
 use flextract_time::Timestamp;
@@ -25,6 +26,9 @@ pub struct ExtractionInput<'a> {
     pub fine_series: Option<&'a TimeSeries>,
     /// The appliance specification catalog (§4's context information).
     pub catalog: Option<&'a Catalog>,
+    /// Appliance cycles already detected in the fine series (see
+    /// [`ExtractionInput::with_detections`]).
+    pub detections: Option<&'a [DetectedActivation]>,
 }
 
 impl<'a> ExtractionInput<'a> {
@@ -36,6 +40,7 @@ impl<'a> ExtractionInput<'a> {
             reference_series: None,
             fine_series: None,
             catalog: None,
+            detections: None,
         }
     }
 
@@ -57,6 +62,22 @@ impl<'a> ExtractionInput<'a> {
     /// extraction).
     pub fn with_catalog(mut self, catalog: &'a Catalog) -> Self {
         self.catalog = Some(catalog);
+        self
+    }
+
+    /// Attach the appliance cycles already detected in the fine series,
+    /// so the appliance-level extractors skip their own detection pass.
+    ///
+    /// Contract: `detections` must equal the first element of
+    /// `detect_activations(fine, &catalog.shiftable(),
+    /// &MatchConfig::default())`, where `fine` is the attached fine
+    /// series (or [`ExtractionInput::series`] when none is attached)
+    /// and `catalog` the attached catalog — what
+    /// `disaggregate(fine, catalog, &DisaggConfig::shiftable())`
+    /// returns. Extractors configured with a non-default
+    /// [`flextract_disagg::MatchConfig`] ignore them and detect anew.
+    pub fn with_detections(mut self, detections: &'a [DetectedActivation]) -> Self {
+        self.detections = Some(detections);
         self
     }
 }

@@ -6,9 +6,9 @@
 //! with day-kind awareness ("the dishwasher is more used during the
 //! weekends since the family eats at home more often").
 
-use crate::extractor::{extract_cycle, FlexibilityExtractor};
+use crate::extractor::{extract_cycle, shiftable_detections, FlexibilityExtractor};
 use crate::{Diagnostics, ExtractionConfig, ExtractionError, ExtractionInput, ExtractionOutput};
-use flextract_disagg::{detect_activations, MatchConfig, MinedSchedule};
+use flextract_disagg::{MatchConfig, MinedSchedule};
 use flextract_flexoffer::{EnergyRange, FlexOffer};
 use flextract_series::segment::{split_whole_days, DayKind};
 use flextract_series::TimeSeries;
@@ -73,8 +73,7 @@ impl FlexibilityExtractor for ScheduleBasedExtractor {
         let fine = input.fine_series.unwrap_or(series);
 
         // ---- Step 1: detections → per-day-kind schedules.
-        let shiftable = catalog.shiftable();
-        let (detections, _) = detect_activations(fine, &shiftable, &self.match_cfg);
+        let detections = shiftable_detections(input, fine, catalog, &self.match_cfg);
         let days = split_whole_days(fine);
         let workdays = days
             .iter()
@@ -283,6 +282,72 @@ mod tests {
             .shortlist
             .iter()
             .any(|s| s.contains("Washing Machine")));
+    }
+
+    /// Supplying the detections the contract names changes nothing in
+    /// either appliance-level extractor's output.
+    #[test]
+    fn supplied_detections_leave_the_output_unchanged() {
+        use crate::FrequencyBasedExtractor;
+        use flextract_disagg::{disaggregate, DisaggConfig};
+        let (fine, market) = routine();
+        let cat = Catalog::extended();
+        let detections = disaggregate(&fine, &cat, &DisaggConfig::shiftable())
+            .unwrap()
+            .detections;
+        assert!(!detections.is_empty());
+        let input = ExtractionInput::household(&market)
+            .with_fine_series(&fine)
+            .with_catalog(&cat);
+        let extractors: [Box<dyn FlexibilityExtractor>; 2] = [
+            Box::new(ScheduleBasedExtractor::new(ExtractionConfig::default())),
+            Box::new(FrequencyBasedExtractor::new(ExtractionConfig::default())),
+        ];
+        for ex in &extractors {
+            let detect = ex.extract(&input, &mut StdRng::seed_from_u64(4)).unwrap();
+            let supplied = ex
+                .extract(
+                    &input.with_detections(&detections),
+                    &mut StdRng::seed_from_u64(4),
+                )
+                .unwrap();
+            assert!(!detect.flex_offers.is_empty(), "{}", ex.name());
+            assert_eq!(detect, supplied, "{}", ex.name());
+        }
+    }
+
+    /// Supplied detections replace the detection pass; an extractor
+    /// tuned away from the default matching ignores them.
+    #[test]
+    fn supplied_detections_replace_detection_under_the_default_matching() {
+        use crate::FrequencyBasedExtractor;
+        let (fine, market) = routine();
+        let cat = Catalog::extended();
+        let input = ExtractionInput::household(&market)
+            .with_fine_series(&fine)
+            .with_catalog(&cat);
+        let ex = FrequencyBasedExtractor::new(ExtractionConfig::default());
+        let none = ex
+            .extract(&input.with_detections(&[]), &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        assert!(none.flex_offers.is_empty());
+        let tuned = FrequencyBasedExtractor::with_matching(
+            ExtractionConfig::default(),
+            MatchConfig {
+                score_threshold: 0.3,
+                ..MatchConfig::default()
+            },
+        );
+        let fresh = tuned
+            .extract(&input, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        assert!(!fresh.flex_offers.is_empty());
+        assert_eq!(
+            tuned
+                .extract(&input.with_detections(&[]), &mut StdRng::seed_from_u64(1))
+                .unwrap(),
+            fresh
+        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Accumulator {
         self.offers.extend(out.flex_offers);
         if let (Some(ingestion), Some(cleaning)) = (&mut self.ingestion, &consumer.cleaning) {
             ingestion.absorb_cleaning(cleaning);
-            ingestion.disagg_detections += consumer.disagg_detections;
+            ingestion.disagg_detections += consumer.detections.as_ref().map_or(0, Vec::len);
             ingestion.disagg_explained_kwh += consumer.disagg_explained_kwh;
         }
         if let Some(fid) = fidelity_out {
@@ -202,6 +202,11 @@ impl ScenarioRunner {
                 let mut input = ExtractionInput::household(&consumer.market);
                 if let Some(fine) = &consumer.fine {
                     input = input.with_fine_series(fine).with_catalog(&catalog);
+                }
+                if let Some(detections) = &consumer.detections {
+                    // Detected by the disaggregation stage in this very
+                    // fine series: no second detection pass.
+                    input = input.with_detections(detections);
                 }
                 if let Some(reference) = &consumer.reference {
                     input = input.with_reference(reference);

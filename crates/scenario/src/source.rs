@@ -21,7 +21,7 @@ use flextract_appliance::Catalog;
 use flextract_dataset::{
     ingest, CleaningConfig, CleaningReport, ConsumerKind, Dataset, ResidentStore,
 };
-use flextract_disagg::{disaggregate, DisaggConfig};
+use flextract_disagg::{disaggregate, DetectedActivation, DisaggConfig};
 use flextract_series::{resample, TimeSeries};
 use flextract_sim::{
     simulate_household_with_catalog, simulate_industrial, simulate_tariff_pair, FleetConfig,
@@ -49,8 +49,11 @@ pub(crate) struct ConsumerInput {
     pub fidelity_fine: Option<TimeSeries>,
     /// What the cleaning stage repaired (dataset consumers only).
     pub cleaning: Option<CleaningReport>,
-    /// Appliance cycles the disaggregation stage recovered.
-    pub disagg_detections: usize,
+    /// Appliance cycles the disaggregation stage recovered from `fine`
+    /// (`None` when the consumer was not disaggregated). They are what
+    /// the appliance-level extractors would detect in `fine`, so the
+    /// measured leg reuses them instead of detecting again.
+    pub detections: Option<Vec<DetectedActivation>>,
     /// Energy the disaggregation stage attributed to appliances (kWh).
     pub disagg_explained_kwh: f64,
 }
@@ -65,7 +68,7 @@ impl ConsumerInput {
             fidelity_market: None,
             fidelity_fine: None,
             cleaning: None,
-            disagg_detections: 0,
+            detections: None,
             disagg_explained_kwh: 0.0,
         }
     }
@@ -414,12 +417,13 @@ impl<'a> DatasetSource<'a> {
             )));
         }
         let _ = dataset.resolution()?; // validated representable
-                                       // Fidelity is only reported when *every* consumer carries
-                                       // ground truth; with partial coverage, skip the paired
-                                       // extraction leg entirely instead of paying for truth loads
-                                       // and duplicate extractions that would be discarded. A
-                                       // sharded store answers from the root roll-up without
-                                       // opening any shard.
+
+        // Fidelity is only reported when *every* consumer carries
+        // ground truth; with partial coverage, skip the paired
+        // extraction leg entirely instead of paying for truth loads and
+        // duplicate extractions that would be discarded. A sharded
+        // store answers from the root roll-up without opening any
+        // shard.
         let fidelity = dataset.all_have_truth();
         Ok(DatasetSource {
             source_resolution_min: resolution_min,
@@ -450,12 +454,12 @@ impl<'a> DatasetSource<'a> {
         let record = self.dataset.consumer_in(idx, self.horizon, self.fidelity)?;
         let (cleaned, cleaning) = ingest::clean(record.measured, &self.cleaning)?;
 
-        let mut disagg_detections = 0;
+        let mut detections = None;
         let mut disagg_explained_kwh = 0.0;
         let mut nilm_estimate: Option<TimeSeries> = None;
         if self.disaggregate {
             let result = disaggregate(&cleaned, self.catalog, &DisaggConfig::shiftable())?;
-            disagg_detections = result.detections.len();
+            detections = Some(result.detections);
             disagg_explained_kwh = result.explained_kwh;
             if record.truth_flex.is_none() {
                 nilm_estimate = Some(result.explained);
@@ -498,7 +502,7 @@ impl<'a> DatasetSource<'a> {
             fidelity_market,
             fidelity_fine,
             cleaning: Some(cleaning),
-            disagg_detections,
+            detections,
             disagg_explained_kwh,
         })
     }

@@ -57,16 +57,21 @@ pub fn max(xs: &[f64]) -> Option<f64> {
 /// Linear-interpolated quantile, `q` in `[0, 1]`; `None` on empty input
 /// or out-of-range `q`.
 pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
+    quantile_in_place(&mut xs.to_vec(), q)
+}
+
+/// [`quantile`] computed by sorting `xs` itself instead of a copy, for
+/// callers that reuse one scratch buffer across many windows.
+pub fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("series values are finite"));
-    let pos = q * (sorted.len() - 1) as f64;
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("series values are finite"));
+    let pos = q * (xs.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    Some(xs[lo] * (1.0 - frac) + xs[hi] * frac)
 }
 
 /// Median (the 0.5 quantile).
