@@ -23,9 +23,9 @@ fn committed_tree_has_zero_unsuppressed_findings() {
     // have surfaced as unused-suppression findings above).
     assert!(analysis.files_scanned > 100, "{}", analysis.files_scanned);
     assert!(analysis.suppressed > 0, "{}", analysis.suppressed);
-    // The call-graph re-triage must never regress to the pre-semantic
-    // budget: the pattern-scan era excused 47 occurrences, and scoping
-    // suppressions to witness paths is only honest if it excuses
-    // strictly fewer.
-    assert!(analysis.suppressed < 47, "{}", analysis.suppressed);
+    // The suppression budget is a ratchet. The pattern-scan era excused
+    // 47 occurrences; the committed tree excuses 32. A path-scoped entry
+    // silently absorbs new unchecked sites in its file, so growth must
+    // show up here and be argued for; lower the bound as it shrinks.
+    assert!(analysis.suppressed <= 32, "{}", analysis.suppressed);
 }

@@ -3,8 +3,9 @@
 //! resampling and the binary codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flextract_bench::family_market_series;
+use flextract_bench::{family_market_series, horizon};
 use flextract_series::{codec, decompose, peaks, resample, stats, PeakThreshold};
+use flextract_sim::{simulate_household, HouseholdArchetype, HouseholdConfig};
 use flextract_time::Resolution;
 use std::hint::black_box;
 
@@ -103,6 +104,22 @@ fn bench_rolling(c: &mut Criterion) {
     });
     group.bench_function("max_w96_28d", |b| {
         b.iter(|| flextract_series::rolling::rolling_max(black_box(&values), 96))
+    });
+    // The cleaning screen's real shape: a day-wide window over three days
+    // of 1-min readings on a 0.001 kWh register grid.
+    let minute: Vec<f64> = simulate_household(
+        &HouseholdConfig::new(6, HouseholdArchetype::FamilyWithChildren),
+        horizon(3),
+    )
+    .series
+    .values()
+    .iter()
+    .map(|v| (v / 0.001).round() * 0.001)
+    .collect();
+    assert_eq!(minute.len(), 3 * 1440, "the simulator is native 1-min");
+    group.throughput(Throughput::Elements(minute.len() as u64));
+    group.bench_function("median_w1440_3d_1min", |b| {
+        b.iter(|| flextract_series::rolling::rolling_median(black_box(&minute), 1440))
     });
     group.finish();
 }

@@ -33,8 +33,8 @@ pub struct CleaningConfig {
     pub fill: FillStrategy,
     /// Whether to run the anomaly screen after gap filling.
     pub screen_anomalies: bool,
-    /// Rolling-baseline window for the anomaly screen, in intervals;
-    /// `0` means one day at the series resolution.
+    /// Anomaly-screen baseline window in intervals (`0`: one day at the
+    /// series resolution); a series no longer than it is never screened.
     pub anomaly_window: usize,
     /// z-threshold for the anomaly screen (deviations beyond
     /// `z · rolling std` are screened).

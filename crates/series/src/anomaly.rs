@@ -93,6 +93,19 @@ pub fn rolling_anomalies(
         return Vec::new();
     }
     let med = rolling::rolling_median(series.values(), window);
+    runs_off_rolling_median(series, &med, window, z_threshold, noise_floor_kwh)
+}
+
+/// [`rolling_anomalies`] past its median kernel: `med` is the trailing
+/// `window`-interval median of `series`, and `series` is longer than
+/// `window`.
+fn runs_off_rolling_median(
+    series: &TimeSeries,
+    med: &[f64],
+    window: usize,
+    z_threshold: f64,
+    noise_floor_kwh: f64,
+) -> Vec<Anomaly> {
     let std = rolling::rolling_std(series.values(), window);
     let mut expected = vec![f64::NAN; series.len()];
     let mut band = vec![f64::INFINITY; series.len()];
@@ -252,6 +265,43 @@ mod tests {
         let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, values).unwrap();
         let anomalies = rolling_anomalies(&s, 24, 3.0, 0.05);
         assert!(anomalies.iter().all(|a| s.index_of(a.start).unwrap() >= 24));
+    }
+
+    /// The committed 3-day 1-min dataset is long enough for the day-wide
+    /// screen that cleaning runs by default; its runs must not depend on
+    /// which median kernel produced the baseline.
+    #[test]
+    fn day_wide_screen_matches_oracle_kernel_on_committed_3d_dataset() {
+        use flextract_dataset::{ingest, CleaningConfig, Dataset};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../datasets/ds_household_1min_3d");
+        let ds = Dataset::open(&dir).expect("committed dataset opens");
+        let cfg = CleaningConfig::default();
+        let mut runs = 0;
+        for idx in 0..ds.len() {
+            let record = ds.consumer(idx).unwrap();
+            let truth = record.truth_total.expect("exported with ground truth");
+            let (measured, _) = ingest::clean(record.measured, &cfg).unwrap();
+            for other in [measured, truth] {
+                // The dataset crate links its own build of this crate.
+                let s = TimeSeries::new(other.start(), other.resolution(), other.values().to_vec())
+                    .unwrap();
+                let window = s.resolution().intervals_per_day();
+                assert_eq!((s.len(), window), (4320, 1440));
+                let oracle = rolling::sorted_buffer_median(s.values(), window);
+                let fast = rolling_anomalies(&s, window, cfg.anomaly_z, cfg.noise_floor_kwh);
+                let slow = runs_off_rolling_median(
+                    &s,
+                    &oracle,
+                    window,
+                    cfg.anomaly_z,
+                    cfg.noise_floor_kwh,
+                );
+                assert_eq!(fast, slow, "consumer {idx}");
+                runs += fast.len();
+            }
+        }
+        assert!(runs > 0, "the screen found nothing to compare");
     }
 
     #[test]

@@ -85,10 +85,145 @@ fn rolling_extreme(xs: &[f64], window: usize, keep: impl Fn(f64, f64) -> bool) -
     out
 }
 
-/// Trailing-window median (exact, via a sorted insert-remove buffer —
-/// O(n·w) worst case, fine for the ≤ few-hundred-sample windows used
-/// here).
+/// Trailing-window median, exact: an even-sized window averages its two
+/// middle values as `0.5 * (lo + hi)`, and values order by
+/// [`f64::total_cmp`].
+///
+/// The series is ranked once, by an index sort in O(n log n). The window
+/// is then a bitset over those ranks, and the rank of its lower median
+/// walks with it: every insert and delete moves the median by at most one
+/// set rank, found by a word scan (`trailing_zeros` / `leading_zeros`).
+/// A scan reads one word while the window is dense among the series'
+/// ranks; a long series under a short window can make it skip up to
+/// n / 64 empty words, about n / (64·w) on typical data.
 pub fn rolling_median(xs: &[f64], window: usize) -> Vec<f64> {
+    assert!(window > 0, "window must be positive");
+    // `order[r]` is the index of the value of rank `r`. Ties under
+    // `total_cmp` are bit-equal values, so their relative order cannot
+    // change a median.
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_unstable_by(|&a, &b| match (xs.get(a), xs.get(b)) {
+        (Some(x), Some(y)) => x.total_cmp(y),
+        _ => std::cmp::Ordering::Equal,
+    });
+    let by_rank: Vec<f64> = order.iter().filter_map(|&i| xs.get(i).copied()).collect();
+    let mut rank = vec![0usize; xs.len()];
+    for (r, &i) in order.iter().enumerate() {
+        if let Some(slot) = rank.get_mut(i) {
+            *slot = r;
+        }
+    }
+
+    let mut set = RankSet::new(xs.len());
+    // `p` is the rank of the window's lower median; `below` counts the
+    // window's ranks under `p`.
+    let (mut p, mut below) = (0usize, 0usize);
+    let mut out = Vec::with_capacity(xs.len());
+    for (i, &r) in rank.iter().enumerate() {
+        set.insert(r);
+        if i == 0 {
+            p = r;
+        } else if r < p {
+            below += 1;
+        }
+        if let Some(&d) = i.checked_sub(window).and_then(|j| rank.get(j)) {
+            set.remove(d);
+            if d < p {
+                below -= 1;
+            } else if d == p {
+                // The window still holds the value just inserted, so one
+                // of the two searches succeeds.
+                if let Some(q) = set.next(p) {
+                    p = q;
+                } else if let Some(q) = set.prev(p) {
+                    p = q;
+                    below -= 1;
+                }
+            }
+        }
+        let m = (i + 1).min(window);
+        let target = (m - 1) / 2;
+        while below > target {
+            let Some(q) = set.prev(p) else { break };
+            p = q;
+            below -= 1;
+        }
+        while below < target {
+            let Some(q) = set.next(p) else { break };
+            p = q;
+            below += 1;
+        }
+        let lo = by_rank.get(p).copied().unwrap_or(f64::NAN);
+        out.push(if m % 2 == 1 {
+            lo
+        } else {
+            let hi = set.next(p).and_then(|q| by_rank.get(q)).copied();
+            0.5 * (lo + hi.unwrap_or(lo))
+        });
+    }
+    out
+}
+
+/// A set of ranks in `0..n`, one bit per rank.
+struct RankSet {
+    words: Vec<u64>,
+}
+
+impl RankSet {
+    fn new(n: usize) -> Self {
+        RankSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, r: usize) {
+        if let Some(w) = self.words.get_mut(r / 64) {
+            *w |= 1 << (r % 64);
+        }
+    }
+
+    fn remove(&mut self, r: usize) {
+        if let Some(w) = self.words.get_mut(r / 64) {
+            *w &= !(1 << (r % 64));
+        }
+    }
+
+    /// The smallest member above `r`.
+    fn next(&self, r: usize) -> Option<usize> {
+        let k = r / 64;
+        let above = self.words.get(k)? & (u64::MAX << (r % 64) << 1);
+        if above != 0 {
+            return Some(k * 64 + above.trailing_zeros() as usize);
+        }
+        self.words
+            .iter()
+            .enumerate()
+            .skip(k + 1)
+            .find(|(_, &w)| w != 0)
+            .map(|(j, w)| j * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// The largest member below `r`.
+    fn prev(&self, r: usize) -> Option<usize> {
+        let k = r / 64;
+        let under = self.words.get(k)? & !(u64::MAX << (r % 64));
+        if under != 0 {
+            return Some(k * 64 + 63 - under.leading_zeros() as usize);
+        }
+        self.words
+            .get(..k)?
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, &w)| w != 0)
+            .map(|(j, w)| j * 64 + 63 - w.leading_zeros() as usize)
+    }
+}
+
+/// The sorted insert/remove buffer [`rolling_median`] replaced, O(n·w):
+/// the oracle its output must match bit for bit.
+#[cfg(test)]
+pub(crate) fn sorted_buffer_median(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
     let mut out = Vec::with_capacity(xs.len());
     let mut sorted: Vec<f64> = Vec::with_capacity(window);
@@ -117,6 +252,7 @@ pub fn rolling_median(xs: &[f64], window: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const EPS: f64 = 1e-12;
 
@@ -176,6 +312,44 @@ mod tests {
                 "index {i}: {} vs {direct}",
                 med[i]
             );
+        }
+    }
+
+    /// Values that stress a median's ordering: a few quantized levels
+    /// (heavy ties), both zeros, negatives and subnormals.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            6 => (-4_i64..12).prop_map(|k| k as f64 * 0.001),
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => (1_u64..1 << 52).prop_map(f64::from_bits),
+            1 => (1_u64..1 << 52).prop_map(|b| -f64::from_bits(b)),
+            1 => -1e6_f64..1e6,
+        ]
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn median_matches_sorted_buffer_oracle_bit_for_bit(
+            xs in prop::collection::vec(arb_value(), 0..300),
+            half in 1_usize..40,
+        ) {
+            let n = xs.len();
+            for window in [1, 2, 2 * half + 1, 2 * half, n.max(1), n + 1 + half] {
+                prop_assert_eq!(
+                    bits(&rolling_median(&xs, window)),
+                    bits(&sorted_buffer_median(&xs, window)),
+                    "n {} window {}",
+                    n,
+                    window
+                );
+            }
         }
     }
 

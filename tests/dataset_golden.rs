@@ -13,6 +13,18 @@ use flextract::dataset::{Dataset, MANIFEST_FILE, ROOT_FILE};
 use flextract::scenario::{export_dataset, load_file, ExportOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Both tests read `datasets/`, and under `UPDATE_GOLDEN=1` the
+/// regeneration test deletes and rewrites it. The harness runs tests in
+/// parallel, so each one holds this lock for its whole body.
+static DATASETS_DIR: Mutex<()> = Mutex::new(());
+
+/// Take the `datasets/` lock. A test that panicked while holding it has
+/// already failed on its own; the other still runs.
+fn lock_datasets() -> MutexGuard<'static, ()> {
+    DATASETS_DIR.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -44,6 +56,7 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn committed_datasets_regenerate_byte_identically() {
+    let _datasets = lock_datasets();
     let root = repo_root();
     let datasets_dir = root.join("datasets");
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
@@ -124,6 +137,7 @@ fn committed_datasets_regenerate_byte_identically() {
 
 #[test]
 fn committed_manifests_are_internally_consistent() {
+    let _datasets = lock_datasets();
     let root = repo_root();
     for entry in std::fs::read_dir(root.join("datasets")).expect("datasets/ exists") {
         let path = entry.expect("entry").path();
