@@ -10,8 +10,8 @@
 //! the regenerated JSON when the numbers move for a reason.
 
 use flextract_dataset::{
-    ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate, ResidentStore,
-    Scan, SeriesCodec, ShardedWriter,
+    CleaningConfig, ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate,
+    ResidentStore, Scan, SeriesCodec, ShardedWriter,
 };
 use flextract_scenario::{
     export_dataset, AggregationPolicy, DatasetCleaning, ExportOptions, ExtractorChoice, Scenario,
@@ -396,6 +396,59 @@ fn committed_storage_bench(records: &mut Vec<Record>) {
     });
 }
 
+/// The template-matching stages: appliance detection over the committed
+/// 3-day 1-min dataset, on the measured series (cleaned with the
+/// anomaly screen, as the measured-data leg cleans them) and on the
+/// ground-truth series, which the fidelity leg detects on. One
+/// iteration detects every consumer's series once.
+fn detect_benches(records: &mut Vec<Record>) {
+    let dataset = Dataset::open(workspace_root().join("datasets/ds_household_1min_3d"))
+        .expect("committed 3-day dataset opens");
+    let cleaning = CleaningConfig {
+        screen_anomalies: true,
+        ..CleaningConfig::default()
+    };
+    let mut measured = Vec::new();
+    let mut truth = Vec::new();
+    for idx in 0..dataset.len() {
+        let record = dataset.consumer(idx).expect("committed consumer loads");
+        truth.push(record.truth_total.clone().expect("export carries truth"));
+        let (cleaned, _) = flextract_dataset::ingest::clean(record.measured, &cleaning)
+            .expect("committed series cleans");
+        measured.push(cleaned);
+    }
+    let catalog = flextract_appliance::Catalog::extended();
+    let specs = catalog.shiftable();
+    let config = flextract_disagg::MatchConfig::default();
+    for (leg, series) in [("measured", &measured), ("truth", &truth)] {
+        let detections: usize = series
+            .iter()
+            .map(|s| {
+                flextract_disagg::detect_activations(s, &specs, &config)
+                    .0
+                    .len()
+            })
+            .sum();
+        let iters = 50;
+        let mean = measure_fn(3, iters, || {
+            for s in series {
+                std::hint::black_box(flextract_disagg::detect_activations(s, &specs, &config));
+            }
+        });
+        records.push(Record {
+            name: format!("disagg/detect/{leg}_3d_1min"),
+            consumer_threads: 1,
+            iters,
+            mean_us: mean,
+            note: Some(format!(
+                "{} series x {} intervals, {detections} detections",
+                series.len(),
+                series.first().map_or(0, |s| s.len())
+            )),
+        });
+    }
+}
+
 /// The sharded-store stages: a large lightweight fleet (one day at
 /// 15 min per consumer, `BENCH_SHARD_CONSUMERS` consumers, default
 /// 100 000 — CI sets a small value) behind shard-level statistics.
@@ -681,6 +734,7 @@ fn main() {
     query_benches(&mut records);
     cold_open_benches(&mut records);
     committed_storage_bench(&mut records);
+    detect_benches(&mut records);
     shard_store_benches(&mut records);
     analyze_benches(&mut records);
 

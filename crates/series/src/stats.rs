@@ -9,6 +9,8 @@
 //! ([`crate::TimeSeries::values`]), slices of days, decomposition
 //! components, or flex-offer profiles alike.
 
+use std::cmp::Ordering;
+
 /// Arithmetic mean; `None` on empty input.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -77,6 +79,54 @@ pub fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
 /// Median (the 0.5 quantile).
 pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
+}
+
+/// [`median`] by selection in `xs` itself, leaving `xs` partially
+/// reordered; `None` on empty input. On finite values it equals
+/// `quantile_in_place(xs, 0.5)` bit for bit in expected O(n):
+///
+/// * the sort behind [`quantile_in_place`] is stable under
+///   `partial_cmp`, so equal values keep their input order. Selection
+///   finds the same values, because equal finite values have equal
+///   bits — except `-0.0` and `+0.0`, which compare equal but differ in
+///   sign. So an input holding `-0.0` (or a NaN) falls back to a
+///   stable sort keyed on `x + 0.0`, which maps `-0.0` to `+0.0` and
+///   leaves every other value unchanged: the same permutation;
+/// * an odd length returns the middle value `v`, which is what
+///   `v·1.0 + v·0.0` rounds to for any finite `v`, `±0.0` included;
+/// * an even length averages its two middle values with the same
+///   `lo·0.5 + hi·0.5` expression the quantile uses.
+///
+/// Unlike [`quantile_in_place`], a NaN does not panic; the result is
+/// then unspecified.
+pub fn median_in_place(xs: &mut [f64]) -> Option<f64> {
+    let n = xs.len();
+    let mid = n / 2;
+    let sorted = xs
+        .iter()
+        .any(|x| x.is_nan() || x.to_bits() == (-0.0f64).to_bits());
+    if sorted {
+        xs.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
+    } else if n > 0 {
+        // No NaN, so `partial_cmp` is a total order here, and cheaper
+        // than `total_cmp`.
+        xs.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+    }
+    let (below, rest) = xs.split_at(mid);
+    let hi = *rest.first()?;
+    if n % 2 == 1 {
+        return Some(hi);
+    }
+    // `below` holds the `mid` smallest values, sorted or not.
+    let lo = if sorted {
+        below.last().copied()
+    } else {
+        below
+            .iter()
+            .copied()
+            .reduce(|a, b| if b > a { b } else { a })
+    }?;
+    Some(lo * 0.5 + hi * 0.5)
 }
 
 /// Pearson correlation coefficient of two equal-length slices.
@@ -313,5 +363,43 @@ mod tests {
         assert!(normalized_entropy(&point).unwrap().abs() < EPS);
         assert_eq!(entropy(&[0.0, 0.0]), None);
         assert_eq!(normalized_entropy(&[1.0]), None);
+    }
+
+    #[test]
+    fn median_in_place_keeps_the_sorts_zero_sign() {
+        assert_eq!(median_in_place(&mut []), None);
+        // The stable sort keeps equal zeros in input order, so the
+        // middle one's sign depends on where the zeros sat.
+        for xs in [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0]] {
+            let want = quantile_in_place(&mut xs.clone(), 0.5).unwrap();
+            let got = median_in_place(&mut xs.clone()).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{xs:?}");
+        }
+    }
+
+    /// Quantized values (many ties), both zeros, negatives (a residual
+    /// mid-search dips below zero), wide magnitudes and subnormals.
+    fn median_value() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (-8i32..8).prop_map(|k| f64::from(k) * 0.125),
+            Just(0.0),
+            Just(-0.0),
+            -1e3f64..1e3,
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (1u64..1 << 52).prop_map(|b| -f64::from_bits(b)),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+        #[test]
+        fn median_in_place_equals_quantile_in_place_bit_for_bit(
+            xs in proptest::collection::vec(median_value(), 1..=60),
+        ) {
+            let want = quantile_in_place(&mut xs.clone(), 0.5).unwrap();
+            let got = median_in_place(&mut xs.clone()).unwrap();
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}", xs);
+        }
     }
 }
